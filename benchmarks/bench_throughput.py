@@ -601,6 +601,31 @@ SPARSE_PAPER_BATCH = 2048 * 48
 SPARSE_SAMPLES_PER_RAY = 48
 
 
+def _full_table_scatter(grid: MultiResHashGrid, grad: np.ndarray):
+    """Reference backward: one ``(F, T)`` bincount over global addresses.
+
+    The grid engine keys its row merge this way only when the scatter trace
+    is at least as long as the table; at smaller traces it compacts the
+    trace first.  Timing this reference at every table size shows what the
+    compaction saves.  Returns the touched rows and their float32 sums.
+    """
+    addr_planes = grid._last_addr_planes
+    weight_planes = grid._last_weight_planes
+    n_levels, n = addr_planes.shape[1:]
+    f = grid.config.n_features_per_level
+    total = grid.total_table_entries
+    grad3 = np.asarray(grad, dtype=grid.policy.dtype).reshape(n, n_levels, f)
+    acc = np.zeros((f, total))
+    contrib = np.empty((n_levels, n))
+    for corner in range(8):
+        for j in range(f):
+            np.multiply(weight_planes[corner], grad3[:, :, j].T, out=contrib)
+            acc[j] += np.bincount(addr_planes[corner].ravel(),
+                                  weights=contrib.ravel(), minlength=total)
+    touched = np.flatnonzero(np.any(acc != 0.0, axis=0))
+    return touched, acc[:, touched].T.astype(np.float32)
+
+
 def _sparse_size_measurement(log2_size: int, n_points: int,
                              repeats: int) -> dict:
     """Dense vs COO+lazy optimiser-step (and backward) time at one table size."""
@@ -659,6 +684,11 @@ def _sparse_size_measurement(log2_size: int, n_points: int,
             np.array_equal(sparse_grad.rows, dense_rows)
             and np.array_equal(sparse_grad.values,
                                dense.table.grad[dense_rows]))
+    ref_rows, ref_values = _full_table_scatter(coo, grad)
+    scatter_matches = scatter_matches and bool(
+        np.array_equal(dense.table.grad[ref_rows], ref_values)
+        and np.array_equal(dense_rows,
+                           ref_rows[np.any(ref_values != 0.0, axis=1)]))
 
     touched = int(coo.last_touched_rows)
     total_entries = int(coo.total_table_entries)
@@ -674,7 +704,9 @@ def _sparse_size_measurement(log2_size: int, n_points: int,
         return best
 
     bwd_times = _time_blocked({"dense": lambda: backward_step(dense),
-                               "sparse": lambda: backward_step(coo)})
+                               "sparse": lambda: backward_step(coo),
+                               "full_table": lambda: _full_table_scatter(
+                                   coo, grad)})
     opt_times = _time_blocked({"dense": dense_opt.step,
                                "sparse": coo_opt.step})
     return {
@@ -687,6 +719,9 @@ def _sparse_size_measurement(log2_size: int, n_points: int,
         "backward_scatter_ms": {name: t * 1e3 for name, t in bwd_times.items()},
         "optimizer_step_ms": {name: t * 1e3 for name, t in opt_times.items()},
         "backward_speedup": bwd_times["dense"] / bwd_times["sparse"],
+        # COO backward vs the full-table (F, T) scatter: the saving of the
+        # row merge's trace compaction at tables larger than the trace.
+        "merge_speedup": bwd_times["full_table"] / bwd_times["sparse"],
         "optimizer_speedup": opt_times["dense"] / opt_times["sparse"],
         # The touched-address trace of this measurement feeds the BUM replay.
         "_trace": coo.last_access.flat_addresses(),
@@ -707,10 +742,10 @@ def bench_sparse(table_log2_sizes, repeats: int, differential_steps: int,
       increasing ``log2_hashmap_size`` (up to the paper-representative
       2^19-entry tables), a culling-level-sparsity batch, per-engine
       best-of-block timing of the dense Adam step vs the touched-rows-only
-      lazy step (and of the dense bincount scatter vs the COO
-      sort+segment-sum) — deliberately *not* interleaved, since neither
-      real mode ever runs the other engine between its own steps (see
-      ``_time_blocked``);
+      lazy step, and of the dense vs the COO backward beside a full-table
+      ``(F, T)`` bincount reference scatter — deliberately *not*
+      interleaved, since neither real mode ever runs the other engine
+      between its own steps (see ``_time_blocked``);
     * **BUM side by side** — the *measured* touched-address trace of the
       largest grid replayed through the modeled
       :class:`BackPropUpdateMerger`, so the software sparsity statistics
@@ -1411,9 +1446,9 @@ def main() -> None:
         ckpt_iterations, ckpt_image = 24, 20
         precision_iterations, precision_image = 60, 20
         precision_batch, precision_samples, precision_timing = 512, 32, 6
-        # The 2^19-entry table stays in the smoke run: the CI assertion on
-        # the sparse-optimiser speedup must see paper-representative
-        # sparsity, which small tables cannot exhibit.
+        # The 2^19-entry table stays in the smoke run: the CI assertions on
+        # the sparse-optimiser and merge speedups must see
+        # paper-representative sparsity, which small tables cannot exhibit.
         sparse_sizes, sparse_repeats = (14, 19), 3
         sparse_diff_steps, sparse_phase_iters, bum_cap = 20, 20, 40000
         backend_image, backend_steps, backend_timing = 20, 10, 6
@@ -1555,14 +1590,19 @@ def main() -> None:
             f"({sparse['sizes'][0]['n_points']} touched-batch points, "
             f"keep fraction {sparse['keep_fraction']:.2f})",
             ["table entries", "touched rows", "optimizer dense/sparse (ms)",
-             "speedup", "backward speedup"],
+             "speedup", "backward dense/sparse/full-table (ms)",
+             "backward speedup", "merge speedup"],
             [
                 [f"{row['total_entries']}",
                  f"{row['touched_rows']} ({row['touched_fraction']:.1%})",
                  f"{row['optimizer_step_ms']['dense']:.2f} / "
                  f"{row['optimizer_step_ms']['sparse']:.2f}",
                  f"{row['optimizer_speedup']:.2f}x",
-                 f"{row['backward_speedup']:.2f}x"]
+                 f"{row['backward_scatter_ms']['dense']:.2f} / "
+                 f"{row['backward_scatter_ms']['sparse']:.2f} / "
+                 f"{row['backward_scatter_ms']['full_table']:.2f}",
+                 f"{row['backward_speedup']:.2f}x",
+                 f"{row['merge_speedup']:.2f}x"]
                 for row in sparse["sizes"]
             ],
         )

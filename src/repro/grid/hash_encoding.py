@@ -361,10 +361,13 @@ class MultiResHashGrid:
         keeps the dense gradient table.  ``"coo"`` makes :meth:`backward`
         emit one compacted ``(unique_addresses, accumulated_grads)`` COO
         pair (:class:`~repro.nn.parameter.SparseGrad`) over the grid's
-        backing table instead of expanding to dense zeros — the scatter
-        trace is deduplicated with a sort + segment-sum whose per-row sums
-        are **bit-identical** to the dense ``np.bincount`` scatter — and
-        flags the table for the optimiser's touched-rows-only lazy update.
+        backing table instead of expanding to dense zeros, and flags the
+        table for the optimiser's touched-rows-only lazy update.  Every
+        mode merges the scatter trace with the same sort-free bincount row
+        merge (:meth:`_accumulate_rows`): keyed by global address when the
+        trace (``8 * L * N`` updates) is at least as long as the table,
+        else by a compacted slot per touched row.  So the COO per-row sums
+        are **bit-identical** to the dense gradient's.
         ``"oracle"`` keeps the dense gradient representation (this exact
         backward) while still flagging the table for lazy updates: the
         bit-exact dense-representation oracle the COO path is
@@ -843,11 +846,12 @@ class MultiResHashGrid:
     def _backward_fused(self, grad_embeddings: np.ndarray) -> None:
         """Fused scatter of embedding gradients into every level's table.
 
-        Per-corner gradients of all levels are accumulated with
-        ``np.bincount`` over global (level-offset) addresses — replacing the
-        per-level dense-zeros + ``np.add.at`` scatter — and only the touched
-        table rows receive float32 updates.  Chunks accumulate into one
-        float64 buffer, so chunked and unchunked backward passes agree.
+        Per-corner gradients of all levels are merged per table row by
+        :meth:`_accumulate_rows` — one bincount scatter for every gradient
+        mode — and only the touched rows are written: as float32 updates
+        of the dense ``grad`` table (dense and ``"oracle"`` modes) or as
+        one COO pair (``"coo"`` mode).  Chunked and unchunked forward
+        passes produce the same planes, so their backward passes agree.
         """
         addr_planes = self._last_addr_planes
         weight_planes = self._last_weight_planes
@@ -863,117 +867,122 @@ class MultiResHashGrid:
         n = grad_embeddings.shape[0]
         n_levels = len(self.levels)
         f = self.config.n_features_per_level
-        total = int(self._level_bounds[-1])
         grad3 = grad_embeddings.reshape(n, n_levels, f)
-        # The working set per corner is one (L, N) plane, so no chunking is
-        # needed here even for very large batches.  The bincount reduction
-        # always accumulates in float64 — the only weight dtype bincount
-        # sums — which keeps the scatter dtype-stable under both policies
-        # (float32 contributions are upcast in the multiply, not inside
-        # bincount).
         feature_grads = []
         for j in range(f):
             fg = self._buf(f"bwd/fg{j}", (n_levels, n), grad_embeddings.dtype)
             fg[...] = grad3[:, :, j].T
             feature_grads.append(fg)
+        rows, sums = self._accumulate_rows(addr_planes, weight_planes,
+                                           feature_grads)
+        self.last_scatter_updates = int(addr_planes.size)
         if self.sparse_mode == "coo":
-            self._scatter_sparse(addr_planes, weight_planes, feature_grads,
-                                 n, f)
+            self._emit_coo(rows, sums)
             return
-        acc = self._buf("bwd/acc", (f, total), np.float64)
+        self.last_touched_rows = int(rows.size)
+        self.backend.scatter_add(self.table.grad, rows,
+                                 sums.astype(np.float32), unique=True)
+
+    def _accumulate_rows(self, addr_planes: np.ndarray,
+                         weight_planes: np.ndarray,
+                         feature_grads: List[np.ndarray]):
+        """Merge the scatter trace into per-row float64 sums, sort-free.
+
+        Returns ``(rows, sums)``: the strictly increasing table rows whose
+        float64 gradient is non-zero and their ``(len(rows), F)`` sums.
+        Contributions are summed with one ``np.bincount`` per (corner,
+        feature) over a key per trace entry.  The table's address space is
+        bounded by ``T = _level_bounds[-1]``, so the key space follows from
+        the trace length ``m = 8 * L * N``:
+
+        * ``m >= T`` (every paper-shaped training step): the keys are the
+          global addresses themselves and the accumulator is ``(F, T)`` —
+          the dense scatter.  Touched rows come out of ``flatnonzero``
+          already sorted.
+        * ``m < T`` (large tables, small batches): the trace is compacted
+          in ``O(m)`` plus one byte-wide ``O(T)`` pass.  A presence mask
+          over the table marks every address in the trace; its
+          ``flatnonzero`` is the sorted unique address set, with no sort.
+          A slot map of ``T`` integers then numbers those addresses
+          ``0..U-1`` and the keys are ``slot[address]``, so the
+          accumulator is only ``(F, U)``.  The mask is cleared and every
+          slot that is read is written earlier in the same call, so stale
+          arena contents never leak into the result.
+
+        Either way each row's sum adds the same contributions in the same
+        per-corner scan order (bincount accumulates duplicates in scan
+        order and the accumulator adds completed per-corner sums), so the
+        two key spaces give bit-identical sums.  All buffers come from the
+        workspace arena when one is attached, except the per-corner
+        bincount outputs and the ``flatnonzero`` results (NumPy offers no
+        ``out=`` for either).
+        """
+        n_levels, n = addr_planes.shape[1:]
+        f = len(feature_grads)
+        total = int(self._level_bounds[-1])
+        if addr_planes.size >= total:
+            keys, n_keys, unique_addr = addr_planes, total, None
+        else:
+            flat = addr_planes.reshape(-1)
+            seen = self._buf("bwd/seen", total, bool)
+            seen.fill(False)
+            self.backend.scatter_rows(seen, flat, True)
+            unique_addr = self.backend.flatnonzero(seen)
+            n_keys = int(unique_addr.size)
+            slot = self._buf("bwd/slot", total, np.int64)
+            self.backend.scatter_rows(slot, unique_addr, np.arange(n_keys))
+            keys = self._buf("bwd/keys", addr_planes.shape, np.int64)
+            self.backend.take_out(slot, flat, keys.reshape(-1))
+        acc = self._buf("bwd/acc", (f, n_keys), np.float64)
         acc.fill(0.0)
         contrib = self._buf("bwd/contrib", (n_levels, n), np.float64)
         for corner in range(8):
-            flat_addr = addr_planes[corner].ravel()
+            corner_keys = keys[corner].ravel()
             corner_weight = weight_planes[corner]
             for j in range(f):
+                # Float32 contributions are upcast in the multiply, so the
+                # bincount reduction sums float64 under both policies.
                 np.multiply(corner_weight, feature_grads[j], out=contrib)
-                self.backend.bincount_add(acc[j], flat_addr, contrib.ravel(),
-                                          total)
+                self.backend.bincount_add(acc[j], corner_keys,
+                                          contrib.ravel(), n_keys)
         acc = acc.T
         touched = self.backend.flatnonzero(np.any(acc != 0.0, axis=1))
-        self.last_touched_rows = int(touched.size)
-        self.last_scatter_updates = int(addr_planes.size)
+        if unique_addr is None:
+            rows = touched
+        else:
+            rows = self._buf("bwd/rows", touched.size, np.int64)
+            self.backend.take_out(unique_addr, touched, rows)
         # Sized at the table bound (not the batch-dependent touched count)
         # so the steady-state arena never regrows it.
-        acc_touched = self._buf("bwd/acc_touched", (total, f),
-                                np.float64)[:touched.size]
-        self.backend.gather(acc, touched, out=acc_touched)
-        self.backend.scatter_add(self.table.grad, touched,
-                                 acc_touched.astype(np.float32), unique=True)
+        sums = self._buf("bwd/sums", (total, f), np.float64)[:touched.size]
+        self.backend.gather(acc, touched, out=sums)
+        return rows, sums
 
-    def _scatter_sparse(self, addr_planes: np.ndarray,
-                        weight_planes: np.ndarray,
-                        feature_grads: List[np.ndarray],
-                        n: int, f: int) -> None:
-        """Deduplicated COO scatter: sort + segment-sum, no dense tables.
+    def _emit_coo(self, rows: np.ndarray, sums: np.ndarray) -> None:
+        """Hand the merged rows to the backing table as one COO pair.
 
-        The flat scatter trace (``8 * L * N`` global addresses) is sorted
-        once; a rank pass compacts it to the unique touched addresses and
-        every corner's contributions are segment-summed with ``np.bincount``
-        over the *rank* indices.  Because bincount accumulates duplicate
-        buckets in scan order, each touched row's float64 sum is
-        **bit-identical** to the dense scatter's value for that row, and the
-        float32 cast afterwards matches the dense path's cast — the COO
-        pair is the dense gradient table minus its zeros.  Rows whose
-        float32 gradient rounds to all-zero are dropped so the touched set
-        equals the nonzero-row set the dense-oracle optimiser derives.
-
-        Cost scales with the trace and touched-row sizes — never with the
-        table size.  All buffers come from the workspace arena (when
-        attached) except ``np.argsort``'s result and the per-corner bincount
-        outputs (both bounded by trace/touched size; NumPy offers no ``out=``
-        for either).  The COO pair handed to the backing table's
-        :meth:`Parameter.add_sparse_grad` holds arena views, valid until the
-        next backward — exactly one optimiser step.
+        The float32 cast matches the dense path's cast, so the pair is the
+        dense gradient table minus its zeros.  Rows whose float32 gradient
+        rounds to all-zero are dropped, so the touched set equals the
+        nonzero-row set the dense-oracle optimiser derives.  The pair holds
+        arena views, valid until the next backward — exactly one optimiser
+        step.
         """
-        n_levels = len(self.levels)
-        m = int(addr_planes.size)
-        if m == 0:
-            self.last_touched_rows = 0
-            self.last_scatter_updates = 0
-            return
-        flat_all = addr_planes.reshape(-1)
-        order = self.backend.argsort(flat_all)
-        sorted_addr = self._buf("bwds/sorted", m, np.int64)
-        self.backend.take_out(flat_all, order, sorted_addr)
-        flags = self._buf("bwds/flags", m, bool)
-        flags[0] = True
-        np.not_equal(sorted_addr[1:], sorted_addr[:-1], out=flags[1:])
-        rank = self._buf("bwds/rank", m, np.int64)
-        self.backend.cumsum(flags, out=rank)
-        rank -= 1                                 # unique-id of each sorted slot
-        n_unique = int(rank[-1]) + 1
-        unique_addr = self._buf("bwds/unique", n_unique, np.int64)
-        self.backend.scatter_rows(unique_addr, rank, sorted_addr)
-        inverse = self._buf("bwds/inverse", m, np.int64)
-        self.backend.scatter_rows(inverse, order, rank)
-        inv_planes = inverse.reshape(8, n_levels, n)
-        acc = self._buf("bwds/acc", (f, n_unique), np.float64)
-        acc.fill(0.0)
-        contrib = self._buf("bwd/contrib", (n_levels, n), np.float64)
-        for corner in range(8):
-            inv_flat = inv_planes[corner].reshape(-1)
-            corner_weight = weight_planes[corner]
-            for j in range(f):
-                np.multiply(corner_weight, feature_grads[j], out=contrib)
-                self.backend.bincount_add(acc[j], inv_flat, contrib.ravel(),
-                                          n_unique)
-        vals32 = self._buf("bwds/vals32", (n_unique, f), np.float32)
-        np.copyto(vals32, acc.T, casting="unsafe")
-        nz = self._buf("bwds/nz", (n_unique, f), bool)
+        k, f = sums.shape
+        vals32 = self._buf("bwd/vals32", (k, f), np.float32)
+        np.copyto(vals32, sums, casting="unsafe")
+        nz = self._buf("bwd/nz", (k, f), bool)
         np.not_equal(vals32, 0.0, out=nz)
-        keep = self._buf("bwds/keep", n_unique, bool)
+        keep = self._buf("bwd/keep", k, bool)
         np.any(nz, axis=1, out=keep)
         kept = self.backend.flatnonzero(keep)
-        rows = self._buf("bwds/rows", kept.size, np.int64)
-        self.backend.take_out(unique_addr, kept, rows)
-        vals = self._buf("bwds/vals", (kept.size, f), np.float32)
+        kept_rows = self._buf("bwd/kept_rows", kept.size, np.int64)
+        self.backend.take_out(rows, kept, kept_rows)
+        vals = self._buf("bwd/vals", (kept.size, f), np.float32)
         self.backend.gather(vals32, kept, out=vals)
         self.last_touched_rows = int(kept.size)
-        self.last_scatter_updates = m
         if kept.size:
-            self.table.add_sparse_grad(rows, vals)
+            self.table.add_sparse_grad(kept_rows, vals)
 
     # -- tracing / bookkeeping ------------------------------------------------
     @property

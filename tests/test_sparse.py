@@ -3,7 +3,8 @@
 Covers the ``Instant3DConfig(sparse_updates=True)`` path end to end:
 
 * the grid backward's COO emission is bit-identical to the dense gradient
-  scatter (rows and values);
+  scatter (rows and values), in both key spaces of the sort-free row merge,
+  and stale workspace-arena contents never reach its result;
 * the lazy Adam/SGD row update equals a dense per-step reference that decays
   every row each step but only updates touched rows (exact for power-of-two
   betas, where ``beta ** k`` catch-up is lossless);
@@ -20,6 +21,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
@@ -30,6 +33,7 @@ from repro.nn.parameter import Parameter, SparseGrad
 from repro.training.profiler import PhaseTimer, TrainPhase
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
+from repro.utils.workspace import WorkspaceArena
 
 
 def _sparse_config(base: Instant3DConfig, **overrides) -> Instant3DConfig:
@@ -203,6 +207,165 @@ class TestGridCOOEmission:
                 level.table.data,
                 grid.table.data[offset:offset + level.table_size])
             offset += level.table_size
+
+
+# ---------------------------------------------------------------------------
+# Sort-free scatter: both key spaces of the row merge
+# ---------------------------------------------------------------------------
+
+#: Two dense levels, T = 27 + 64 = 91 rows: traces of N >= 6 points
+#: (m = 16 N) key the merge by global address, smaller ones compact it.
+SMALL_TABLE = HashGridConfig(n_levels=2, n_features_per_level=2,
+                             log2_hashmap_size=6, base_resolution=2,
+                             finest_resolution=3)
+#: Two dense levels and one hashed level, T = 27 + 729 + 4096 = 4852 rows:
+#: every trace of at most 48 points (m = 24 N) is compacted.
+LARGE_TABLE = HashGridConfig(n_levels=3, n_features_per_level=2,
+                             log2_hashmap_size=12, base_resolution=2,
+                             finest_resolution=32)
+
+
+def _points(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = new_rng(seed)
+    if kind == "identical":
+        return np.tile(rng.uniform(size=(1, 3)), (n, 1))
+    if kind == "edges":
+        return rng.choice([0.0, 1.0], size=(n, 3))
+    return rng.uniform(size=(n, 3))
+
+
+def _reference_grad(grid: MultiResHashGrid, grad: np.ndarray) -> np.ndarray:
+    """Full-table float64 bincount scatter from the grid's access record.
+
+    Independent of the engine's row merge: the per-corner, per-feature
+    reduction over global addresses that the dense backward has always run.
+    """
+    record = grid.last_access
+    n, n_levels = record.n_points, record.n_levels
+    f = grid.config.n_features_per_level
+    total = grid.total_table_entries
+    grad3 = np.asarray(grad, dtype=grid.policy.dtype).reshape(n, n_levels, f)
+    acc = np.zeros((f, total))
+    contrib = np.empty((n_levels, n))
+    for corner in range(8):
+        addr = np.stack([record.addresses[level][:, corner] + offset
+                         for level, offset in enumerate(record.level_offsets)])
+        weight = np.stack([w[:, corner] for w in record.weights])
+        for j in range(f):
+            np.multiply(weight, np.ascontiguousarray(grad3[:, :, j].T),
+                        out=contrib)
+            acc[j] += np.bincount(addr.ravel(), weights=contrib.ravel(),
+                                  minlength=total)
+    return acc.T.astype(np.float32)
+
+
+def _backward(grid: MultiResHashGrid, points: np.ndarray,
+              grad: np.ndarray) -> None:
+    grid.forward(points)
+    grid.zero_grad()
+    grid.backward(grad)
+
+
+def _coo_pair(grid: MultiResHashGrid):
+    sparse = grid.table.sparse_grad
+    if sparse is None:
+        return (np.empty(0, np.int64),
+                np.empty((0, grid.config.n_features_per_level), np.float32))
+    return sparse.rows.copy(), sparse.values.copy()
+
+
+class TestSortFreeScatter:
+    @given(kind=st.sampled_from(["distinct", "identical", "edges"]),
+           n=st.integers(0, 48), seed=st.integers(0, 2 ** 16),
+           large=st.booleans(),
+           dtype=st.sampled_from(["float32", "float64"]),
+           chunk=st.sampled_from([None, 5]), fused=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_coo_equals_dense_grad_in_both_key_spaces(self, kind, n, seed,
+                                                      large, dtype, chunk,
+                                                      fused):
+        config = LARGE_TABLE if large else SMALL_TABLE
+        kwargs = dict(policy=dtype, max_chunk_points=chunk)
+        # ``fused`` picks the COO grid's forward engine; the dense grid
+        # stays on the fused scatter, which the reference pins.
+        dense = MultiResHashGrid(config, rng=new_rng(0), **kwargs)
+        coo = MultiResHashGrid(config, rng=new_rng(0), sparse_mode="coo",
+                               fused=fused, **kwargs)
+        points = _points(kind, n, seed)
+        grad = new_rng(seed + 1).standard_normal(
+            (n, config.n_output_features))
+        _backward(dense, points, grad)
+        _backward(coo, points, grad)
+        np.testing.assert_array_equal(dense.table.grad,
+                                      _reference_grad(dense, grad))
+        rows, values = _coo_pair(coo)
+        dense_rows = np.flatnonzero(np.any(dense.table.grad != 0.0, axis=1))
+        np.testing.assert_array_equal(rows, dense_rows)
+        np.testing.assert_array_equal(values, dense.table.grad[dense_rows])
+        assert np.all(np.diff(rows) > 0)
+        assert coo.last_touched_rows == rows.size
+        assert coo.last_scatter_updates == 8 * config.n_levels * n
+        assert np.all(coo.table.grad == 0.0)
+
+    def test_branch_sizes_cover_both_key_spaces(self):
+        small = MultiResHashGrid(SMALL_TABLE, rng=new_rng(0))
+        large = MultiResHashGrid(LARGE_TABLE, rng=new_rng(0))
+        assert 8 * SMALL_TABLE.n_levels * 48 >= small.total_table_entries
+        assert 8 * SMALL_TABLE.n_levels * 1 < small.total_table_entries
+        assert 8 * LARGE_TABLE.n_levels * 48 < large.total_table_entries
+
+    @pytest.mark.parametrize("config", [SMALL_TABLE, LARGE_TABLE],
+                             ids=["small", "large"])
+    def test_unit_cube_corners_hit_level_range_ends(self, config):
+        grid = MultiResHashGrid(config, rng=new_rng(0), sparse_mode="coo")
+        points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        _backward(grid, points, np.ones((2, config.n_output_features)))
+        rows = grid.table.sparse_grad.rows
+        for level, start in zip(grid.levels, grid.last_access.level_offsets):
+            if level.is_dense:
+                assert start in rows
+                assert start + level.table_size - 1 in rows
+
+    @pytest.mark.parametrize("int_sentinel", ["minus_one", "max"])
+    @pytest.mark.parametrize("mode", [None, "coo"])
+    @pytest.mark.parametrize("config", [SMALL_TABLE, LARGE_TABLE],
+                             ids=["small", "large"])
+    def test_stale_arena_contents_never_read(self, config, mode,
+                                             int_sentinel):
+        """A backward after the arena's backward buffers were overwritten
+        with garbage equals a backward on a fresh arena, bit for bit."""
+        n = 40
+        first = _points("distinct", n, 1)
+        second = np.concatenate([_points("distinct", n // 2, 2),
+                                 _points("edges", n // 2, 3)])
+        grad = new_rng(4).standard_normal((n, config.n_output_features))
+        arena = WorkspaceArena()
+        grid = MultiResHashGrid(config, rng=new_rng(0), sparse_mode=mode,
+                                arena=arena)
+        _backward(grid, first, grad)
+        filled = 0
+        for (name, _), backing in arena._backing.items():
+            if not name.startswith(f"{grid.name}/bwd"):
+                continue
+            if backing.dtype == bool:
+                backing.fill(True)
+            elif np.issubdtype(backing.dtype, np.integer):
+                backing.fill(-1 if int_sentinel == "minus_one"
+                             else np.iinfo(backing.dtype).max)
+            else:
+                backing.fill(np.nan)
+            filled += 1
+        assert filled
+        _backward(grid, second, grad)
+        fresh = MultiResHashGrid(config, rng=new_rng(0), sparse_mode=mode,
+                                 arena=WorkspaceArena())
+        _backward(fresh, second, grad)
+        if mode == "coo":
+            for got, want in zip(_coo_pair(grid), _coo_pair(fresh)):
+                np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_array_equal(grid.table.grad, fresh.table.grad)
+        assert grid.last_touched_rows == fresh.last_touched_rows
 
 
 # ---------------------------------------------------------------------------
