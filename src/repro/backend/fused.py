@@ -16,8 +16,11 @@ out= kernels** instead of allocating fresh results.
 
 Pooled scratch is *never handed to callers* — it is fully consumed inside
 the primitive invocation — so no call site can observe aliasing between two
-primitives.  Primitives called without ``out=`` allocate exactly like the
-reference backend.
+primitives.  The pool is **per thread**: one backend instance serves the
+model's density and color branches, which run their grid backwards at the
+same time (see :mod:`repro.utils.overlap`), and the service's worker
+threads, so a shared scratch would mix concurrent segment sums.  Primitives
+called without ``out=`` allocate exactly like the reference backend.
 
 Bit-exactness: every override is arithmetic-identical to the
 :class:`~repro.backend.numpy_backend.NumpyBackend` reference.  For
@@ -35,7 +38,7 @@ which the CI backend matrix exercises.
 
 from __future__ import annotations
 
-from math import prod
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -51,24 +54,23 @@ class NumpyFusedBackend(NumpyBackend):
     name = "numpy_fused"
 
     def __init__(self) -> None:
-        self._pool: Dict[Tuple[str, str], np.ndarray] = {}
-        self.pool_hits = 0
-        self.pool_misses = 0
+        self._local = threading.local()
 
     # -- pool ---------------------------------------------------------------
     def _scratch(self, key: str, size: int, dtype) -> np.ndarray:
-        """Grow-only 1-D scratch keyed by ``(key, dtype)``; internal use only."""
+        """Grow-only 1-D scratch keyed by ``(key, dtype)``, private to the
+        calling thread; internal use only."""
+        pool: Optional[Dict[Tuple[str, str], np.ndarray]] = getattr(
+            self._local, "pool", None)
+        if pool is None:
+            pool = self._local.pool = {}
         dt = np.dtype(dtype)
         size = int(size)
         pool_key = (key, dt.str)
-        backing = self._pool.get(pool_key)
+        backing = pool.get(pool_key)
         if backing is None or backing.size < size:
             grown = size if backing is None else max(size, 2 * backing.size)
-            backing = np.empty(grown, dtype=dt)
-            self._pool[pool_key] = backing
-            self.pool_misses += 1
-        else:
-            self.pool_hits += 1
+            backing = pool[pool_key] = np.empty(grown, dtype=dt)
         return backing[:size]
 
     # -- batched gathers ----------------------------------------------------
@@ -95,7 +97,3 @@ class NumpyFusedBackend(NumpyBackend):
         # Adding the *completed* per-segment sums preserves the reference
         # `acc += np.bincount(...)` float association bit-exactly.
         acc += scratch.reshape(acc.shape)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"NumpyFusedBackend(pool_buffers={len(self._pool)}, "
-                f"hits={self.pool_hits}, misses={self.pool_misses})")

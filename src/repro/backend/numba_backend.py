@@ -10,13 +10,16 @@ three primitives profiling shows dominate a training step:
 
 Each kernel is a plain sequential loop (no ``fastmath``, no ``parallel``),
 so the accumulation order — and therefore the float result — matches the
-numpy reference bit-for-bit on IEEE-conforming builds.  Everything else
-inherits the reference implementation.
+numpy reference bit-for-bit on IEEE-conforming builds.  The
+``bincount_add`` scratch is per thread, because the model's two branches
+run their grid backwards at the same time on one backend instance.
+Everything else inherits the reference implementation.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import threading
 
 import numpy as np
 
@@ -73,7 +76,7 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba exists
         name = "numba"
 
         def __init__(self) -> None:
-            self._bincount_scratch = np.zeros(0, dtype=np.float64)
+            self._local = threading.local()
 
         def take_out(self, flat, indices, out):
             if flat.ndim == 1 and indices.ndim == out.ndim == 1 \
@@ -99,8 +102,10 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba exists
                 acc += np.bincount(indices, weights=weights,
                                    minlength=minlength)
                 return
-            if self._bincount_scratch.size < minlength:
-                self._bincount_scratch = np.zeros(minlength, dtype=np.float64)
+            scratch = getattr(self._local, "bincount", None)
+            if scratch is None or scratch.size < minlength:
+                scratch = self._local.bincount = np.zeros(minlength,
+                                                          dtype=np.float64)
             _bincount_add(acc, indices.astype(np.int64, copy=False),
                           weights.astype(np.float64, copy=False),
-                          self._bincount_scratch[:minlength])
+                          scratch[:minlength])

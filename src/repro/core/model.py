@@ -13,6 +13,16 @@ the Instant-NGP baseline configuration that the paper's Tables 1/2 label
 "1:1 [24]".  ``backward`` takes per-branch update flags so the trainer can
 realise the ``F_D : F_C`` update-frequency schedule by skipping the color
 branch's back-propagation on non-update iterations.
+
+The two branches share no parameters and no workspace buffers, and the
+paper's accelerator runs them on separate grid cores at the same time
+(fusing cores to fit each branch's grid size).  The model mirrors that
+on the host: :meth:`DecoupledRadianceField.query` runs the whole color
+branch on a helper thread (:func:`repro.utils.overlap.run_overlapped`)
+while the calling thread runs the density branch, and
+:meth:`~DecoupledRadianceField.backward` does the same when both branches
+update.  Each branch runs exactly the operations it would run alone, so
+results are bit-identical to running the branches in turn.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from repro.nerf.encoding import spherical_harmonics_dim, spherical_harmonics_enc
 from repro.nn.activations import Sigmoid, TruncatedExp
 from repro.nn.mlp import MLP
 from repro.nn.parameter import Parameter
+from repro.utils.overlap import run_overlapped
 from repro.utils.seeding import derive_rng
 from repro.utils.workspace import WorkspaceArena, arena_buffer
 
@@ -42,7 +53,14 @@ class QueryCache:
 
 
 class DecoupledRadianceField:
-    """Queryable/trainable radiance field with decoupled color/density branches."""
+    """Queryable/trainable radiance field with decoupled color/density branches.
+
+    ``query`` and ``backward`` overlap the branches: the color branch runs
+    on a helper thread while the caller runs the density branch, the way
+    the accelerator gives each branch its own grid cores.  The helper is
+    joined before either method returns or raises.  ``query_density``,
+    used by the occupancy refresh, runs the density branch alone inline.
+    """
 
     def __init__(self, config: Instant3DConfig, seed: int = 0):
         self.config = config
@@ -110,7 +128,9 @@ class DecoupledRadianceField:
         """Evaluate ``(sigma, rgb)`` for points in ``[0, 1]^3`` and unit directions.
 
         This is Step ❸ of the training pipeline: Step ❸-① is the two grid
-        interpolations, Step ❸-② the two small MLPs.
+        interpolations, Step ❸-② the two small MLPs.  The color branch
+        (grid, spherical harmonics, MLP, sigmoid) runs on the helper thread
+        while this thread runs the density branch.
         """
         dtype = self.policy.dtype
         points_unit = self.backend.asarray(points_unit, dtype=dtype)
@@ -118,13 +138,31 @@ class DecoupledRadianceField:
         if points_unit.shape != dirs.shape or points_unit.shape[-1] != 3:
             raise ValueError("points_unit and dirs must both have shape (N, 3)")
 
+        (color_dim, rgb), (density_dim, sigma) = run_overlapped(
+            lambda: self._color_forward(points_unit, dirs),
+            lambda: self._density_forward(points_unit))
+        self._last_cache = QueryCache(
+            n_points=points_unit.shape[0],
+            density_embedding_dim=density_dim,
+            color_embedding_dim=color_dim,
+        )
+        return sigma, rgb
+
+    def _density_forward(self, points_unit: np.ndarray
+                         ) -> Tuple[int, np.ndarray]:
+        """Density branch: grid → MLP → truncated exp; ``(emb dim, sigma)``."""
         density_emb = self.encoder.encode_density(points_unit)
         raw_sigma = self.density_mlp.forward(density_emb)
-        sigma = self.density_activation.forward(raw_sigma)[:, 0]
+        return (density_emb.shape[1],
+                self.density_activation.forward(raw_sigma)[:, 0])
 
+    def _color_forward(self, points_unit: np.ndarray, dirs: np.ndarray
+                       ) -> Tuple[int, np.ndarray]:
+        """Color branch: grid ⊕ SH(dirs) → MLP → sigmoid; ``(emb dim, rgb)``."""
         color_emb = self.encoder.encode_color(points_unit)
         dir_enc = spherical_harmonics_encoding(dirs, degree=self.config.sh_degree,
-                                               dtype=dtype, arena=self.arena)
+                                               dtype=self.policy.dtype,
+                                               arena=self.arena)
         color_in = arena_buffer(self.arena, "model/color_in",
                                 (color_emb.shape[0],
                                  color_emb.shape[1] + dir_enc.shape[1]),
@@ -132,14 +170,7 @@ class DecoupledRadianceField:
         color_in[:, :color_emb.shape[1]] = color_emb
         color_in[:, color_emb.shape[1]:] = dir_enc
         raw_rgb = self.color_mlp.forward(color_in)
-        rgb = self.color_activation.forward(raw_rgb)
-
-        self._last_cache = QueryCache(
-            n_points=points_unit.shape[0],
-            density_embedding_dim=density_emb.shape[1],
-            color_embedding_dim=color_emb.shape[1],
-        )
-        return sigma, rgb
+        return color_emb.shape[1], self.color_activation.forward(raw_rgb)
 
     def query_density(self, points_unit: np.ndarray) -> np.ndarray:
         """Evaluate ``sigma`` alone for points in ``[0, 1]^3``.
@@ -152,9 +183,7 @@ class DecoupledRadianceField:
         points_unit = self.backend.asarray(points_unit, dtype=self.policy.dtype)
         if points_unit.ndim != 2 or points_unit.shape[-1] != 3:
             raise ValueError("points_unit must have shape (N, 3)")
-        density_emb = self.encoder.encode_density(points_unit)
-        raw_sigma = self.density_mlp.forward(density_emb)
-        return self.density_activation.forward(raw_sigma)[:, 0]
+        return self._density_forward(points_unit)[1]
 
     # -- backward -----------------------------------------------------------------
     def backward(self, grad_sigma: np.ndarray, grad_rgb: np.ndarray,
@@ -164,23 +193,34 @@ class DecoupledRadianceField:
         ``update_density`` / ``update_color`` implement the paper's
         update-frequency decomposition: a branch whose flag is False skips its
         entire back-propagation (MLP and embedding grid), which is exactly the
-        work the accelerator skips on non-update iterations.
+        work the accelerator skips on non-update iterations.  When both
+        flags are set the color backward runs on the helper thread while
+        this thread runs the density backward.
         """
         if self._last_cache is None:
             raise RuntimeError("backward called before query")
-        if update_color:
-            grad_raw_rgb = self.color_activation.backward(
-                np.asarray(grad_rgb, dtype=np.float32)
-            )
-            grad_color_in = self.color_mlp.backward(grad_raw_rgb)
-            grad_color_emb = grad_color_in[:, : self._last_cache.color_embedding_dim]
-            self.encoder.backward_color(grad_color_emb)
-        if update_density:
-            grad_raw_sigma = self.density_activation.backward(
-                np.asarray(grad_sigma, dtype=np.float32)[:, None]
-            )
-            grad_density_emb = self.density_mlp.backward(grad_raw_sigma)
-            self.encoder.backward_density(grad_density_emb)
+        if update_color and update_density:
+            run_overlapped(lambda: self._color_backward(grad_rgb),
+                           lambda: self._density_backward(grad_sigma))
+        elif update_color:
+            self._color_backward(grad_rgb)
+        elif update_density:
+            self._density_backward(grad_sigma)
+
+    def _density_backward(self, grad_sigma: np.ndarray) -> None:
+        grad_raw_sigma = self.density_activation.backward(
+            np.asarray(grad_sigma, dtype=np.float32)[:, None]
+        )
+        grad_density_emb = self.density_mlp.backward(grad_raw_sigma)
+        self.encoder.backward_density(grad_density_emb)
+
+    def _color_backward(self, grad_rgb: np.ndarray) -> None:
+        grad_raw_rgb = self.color_activation.backward(
+            np.asarray(grad_rgb, dtype=np.float32)
+        )
+        grad_color_in = self.color_mlp.backward(grad_raw_rgb)
+        grad_color_emb = grad_color_in[:, : self._last_cache.color_embedding_dim]
+        self.encoder.backward_color(grad_color_emb)
 
     # -- parameters ---------------------------------------------------------------
     def density_parameters(self) -> List[Parameter]:

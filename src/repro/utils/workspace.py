@@ -22,6 +22,10 @@ Semantics
   zero allocations on the steady-state hot loop.  :attr:`hits` /
   :attr:`misses` make that measurable; the throughput benchmark asserts a
   zero steady-state miss rate and reports the hit rate.
+* The arena is **thread-safe**: the model's density and color branches
+  request their (disjointly named) buffers from one arena at the same
+  time, so the lookup, backing growth and the counters run under a lock
+  and :attr:`hits` + :attr:`misses` always equals the number of requests.
 * Components accept ``arena=None`` and then allocate fresh arrays exactly
   as before — direct (non-trainer) use keeps allocation semantics
   unchanged.  The :class:`~repro.training.trainer.Trainer` owns one arena
@@ -31,6 +35,7 @@ Semantics
 
 from __future__ import annotations
 
+import threading
 from math import prod
 from typing import Dict, Optional, Tuple
 
@@ -54,6 +59,7 @@ class WorkspaceArena:
         self.allocator = allocator
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
 
     # -- allocation ---------------------------------------------------------
     def buffer(self, name: str, shape, dtype) -> np.ndarray:
@@ -70,17 +76,18 @@ class WorkspaceArena:
             shape = tuple(int(s) for s in shape)
         size = prod(shape) if shape else 1
         key = (name, dt.str)
-        backing = self._backing.get(key)
-        if backing is None or backing.size < size:
-            grown = size if backing is None else max(size, 2 * backing.size)
-            if self.allocator is not None:
-                backing = self.allocator.empty((grown,), dt)
+        with self._lock:
+            backing = self._backing.get(key)
+            if backing is None or backing.size < size:
+                grown = size if backing is None else max(size, 2 * backing.size)
+                if self.allocator is not None:
+                    backing = self.allocator.empty((grown,), dt)
+                else:
+                    backing = np.empty(grown, dtype=dt)
+                self._backing[key] = backing
+                self.misses += 1
             else:
-                backing = np.empty(grown, dtype=dt)
-            self._backing[key] = backing
-            self.misses += 1
-        else:
-            self.hits += 1
+                self.hits += 1
         return backing[:size].reshape(shape)
 
     def zeros(self, name: str, shape, dtype) -> np.ndarray:
@@ -97,7 +104,8 @@ class WorkspaceArena:
     @property
     def total_bytes(self) -> int:
         """Bytes of backing storage currently held by the arena."""
-        return sum(b.nbytes for b in self._backing.values())
+        with self._lock:
+            return sum(b.nbytes for b in self._backing.values())
 
     @property
     def hit_rate(self) -> float:
@@ -107,8 +115,9 @@ class WorkspaceArena:
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (backing buffers are kept)."""
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WorkspaceArena(buffers={self.n_buffers}, "

@@ -18,6 +18,7 @@ tier-1 suite under each backend via ``REPRO_BACKEND``.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +203,39 @@ class TestPrimitiveBitIdentity:
         backend.bincount_add(acc, backend.asarray(ids_np, np.int64),
                              backend.asarray(weights_np, np.float64), 16)
         np.testing.assert_array_equal(backend.to_numpy(acc), acc_ref)
+
+    def test_bincount_add_concurrent_threads(self, backend):
+        """Backend scratch is per thread: two threads summing at once on one
+        instance get exactly what each gets alone."""
+        rng = new_rng(17)
+        n_keys, n_calls = 4096, 40
+        jobs = [(backend.asarray(rng.integers(0, n_keys, size=20000), np.int64),
+                 backend.asarray(rng.normal(size=20000), np.float64))
+                for _ in range(2)]
+
+        def run(ids, weights):
+            acc = backend.zeros(n_keys, np.float64)
+            for _ in range(n_calls):
+                backend.bincount_add(acc, ids, weights, n_keys)
+            return backend.to_numpy(acc)
+
+        expected = [run(*job) for job in jobs]
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def worker(index):
+            barrier.wait()
+            results[index] = run(*jobs[index])
+
+        threads = [threading.Thread(target=worker, args=(index,))
+                   for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_matmul_and_einsum(self, backend):
         rng = new_rng(16)

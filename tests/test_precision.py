@@ -17,6 +17,8 @@ Four contracts anchor the tentpole:
 """
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -87,6 +89,32 @@ class TestWorkspaceArena:
         assert arena.hits == 0 and arena.misses == 0
         arena.buffer("z", 8, np.float64)
         assert arena.hit_rate == 1.0
+
+    def test_counters_exact_across_threads(self):
+        """Every request is counted once when threads share the arena."""
+        arena = WorkspaceArena()
+        n_threads, n_requests = 4, 5000          # more threads than cores
+        barrier = threading.Barrier(n_threads)
+
+        def hammer(tag):
+            barrier.wait()
+            for i in range(n_requests):
+                arena.buffer(f"{tag}/{i % 64}", 1 + i % 7, np.float32)
+
+        threads = [threading.Thread(target=hammer, args=(f"t{index}",))
+                   for index in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert arena.hits + arena.misses == n_threads * n_requests
+        assert arena.n_buffers == 64 * n_threads
 
     def test_distinct_names_and_dtypes_do_not_alias(self):
         arena = WorkspaceArena()
